@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific lint rules the generic toolchain can't express.
 
-Five rules, each encoding a decision documented in DESIGN.md /
+Six rules, each encoding a decision documented in DESIGN.md /
 docs/STATIC_ANALYSIS.md:
 
   raw-bucket-mod      src/core must reduce hashes to bucket indexes with
@@ -32,6 +32,13 @@ docs/STATIC_ANALYSIS.md:
                       or the owning part's shape accessors
                       (fp_.num_buckets() etc), which always reflect the
                       live geometry.
+  hand-opcode         Every wire op's request and reply are defined once,
+                      in the opcode table src/server/ops.h, and encoded
+                      from it. An opcode byte written by hand anywhere
+                      else in src/ (`static_cast<uint8_t>(Op::...)`,
+                      `U8(... Op::k...)`) is a hand-mirrored codec that
+                      can drift from the table. tests/, bench/ and
+                      perfbench/ may hand-craft bytes.
 
 Suppressions: inline `// davinci-lint: allow(<rule>)` on the offending
 line, or an entry in scripts/lint_suppressions.txt (see its header).
@@ -62,6 +69,8 @@ STORE_MUT_RE = re.compile(
     r"(?:assign|resize|clear|push_back|emplace_back|insert|erase|swap)\s*\(")
 RAW_THREAD_RE = re.compile(r"std::thread\s*(?:\w+\s*)?[({]|std::jthread")
 RANDOM_DEVICE_RE = re.compile(r"std::random_device\s*(?:\w+\s*)?[;({]")
+HAND_OPCODE_RE = re.compile(
+    r"static_cast\s*<\s*uint8_t\s*>\s*\(\s*Op::|\bU8\s*\([^;]*\bOp::k")
 GEOMETRY_FIELD_RE = re.compile(
     r"(?:\.|->)\s*(?:fp_buckets|fp_slots|ef_bytes|ef_level_bits"
     r"|ifp_rows|ifp_buckets_per_row)\b")
@@ -88,6 +97,11 @@ def _in_src(path: str) -> bool:
 
 def _in_tests(path: str) -> bool:
     return path.startswith("tests/")
+
+
+def _in_opcode_writers(path: str) -> bool:
+    """src/ minus the opcode table itself."""
+    return path.startswith("src/") and path != "src/server/ops.h"
 
 
 def _in_geometry_consumers(path: str) -> bool:
@@ -174,6 +188,11 @@ def check_file(path: str, text: str) -> list[tuple[str, int, str, str]]:
                 "accessors — geometry changes at runtime (DESIGN.md §12); "
                 "use the DaVinciConfig accessors or the owning part's "
                 "shape accessors"))
+        if _in_opcode_writers(path) and HAND_OPCODE_RE.search(code):
+            findings.append((
+                "hand-opcode", i, raw,
+                "opcode byte written by hand outside src/server/ops.h — "
+                "add or change the op in the opcode table and encode from it"))
     return findings
 
 
@@ -287,6 +306,22 @@ SELF_TEST_CASES = [
      "config.fp_buckets = 1024;", False),  # tests fabricate geometries
     ("geometry-field-read", "src/core/foo.cc",
      "size_t n = config_.FpBytes();", False),  # accessor, not a raw field
+    ("hand-opcode", "src/server/client.cc",
+     "writer.U8(static_cast<uint8_t>(Op::kQuery));", True),
+    ("hand-opcode", "src/server/foo.cc",
+     "const uint8_t op = static_cast< uint8_t >( Op::kPing);", True),
+    ("hand-opcode", "src/server/foo.cc",
+     "w.U8(OpByte(Op::kPing));", True),
+    ("hand-opcode", "src/server/ops.h",
+     "w.U8(static_cast<uint8_t>(E::kOp));", False),  # the table itself
+    ("hand-opcode", "src/server/ops.h",
+     "w.U8(static_cast<uint8_t>(Op::kPing));", False),
+    ("hand-opcode", "src/server/dispatcher.cc",
+     "handlers[static_cast<uint8_t>(E::kOp)] = &Run<E>;", False),
+    ("hand-opcode", "src/server/foo.cc",
+     "writer.U8(static_cast<uint8_t>(StatusCode::kOk));", False),
+    ("hand-opcode", "tests/server_protocol_test.cc",
+     "writer.U8(static_cast<uint8_t>(Op::kQuery));", False),  # tests may
 ]
 
 

@@ -182,12 +182,6 @@ std::vector<std::pair<uint32_t, int64_t>> EpochManager::HeavyChangers(
     // Single-epoch window: nothing to compare against.
     return {};
   }
-  if (legacy_heavy_changers_) {
-    const DaVinciSketch& oldest = !front_stack_.empty()
-                                      ? *front_stack_.back().epoch
-                                      : *back_epochs_.front();
-    return live_.HeavyChangers(oldest, delta);
-  }
   // Paper two-window semantics: newest epoch vs the merged remainder of
   // the window.
   DaVinciSketch remainder = MergedSealed();

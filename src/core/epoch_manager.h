@@ -64,7 +64,6 @@ class EpochManager {
       : max_epochs_(other.max_epochs_),
         epoch_config_(std::move(other.epoch_config_)),
         pending_config_(std::move(other.pending_config_)),
-        legacy_heavy_changers_(other.legacy_heavy_changers_),
         live_(std::move(other.live_)),
         live_inserts_(other.live_inserts_),
         front_stack_(std::move(other.front_stack_)),
@@ -79,7 +78,6 @@ class EpochManager {
     max_epochs_ = other.max_epochs_;
     epoch_config_ = std::move(other.epoch_config_);
     pending_config_ = std::move(other.pending_config_);
-    legacy_heavy_changers_ = other.legacy_heavy_changers_;
     live_ = std::move(other.live_);
     live_inserts_ = other.live_inserts_;
     front_stack_ = std::move(other.front_stack_);
@@ -135,13 +133,8 @@ class EpochManager {
 
   // Heavy changers of the newest epoch against the merged remainder of
   // the window (the paper's two-window semantics, Algorithm 4 task 3).
-  // With set_legacy_heavy_changers(true), compares against the single
-  // oldest epoch instead (the pre-epoch-engine behavior; default off).
   std::vector<std::pair<uint32_t, int64_t>> HeavyChangers(
       int64_t delta) const;
-  void set_legacy_heavy_changers(bool legacy) {
-    legacy_heavy_changers_ = legacy;
-  }
 
   // ---- introspection ----
   const DaVinciSketch& live() const { return live_; }
@@ -194,7 +187,6 @@ class EpochManager {
   size_t max_epochs_;
   DaVinciConfig epoch_config_;
   std::optional<DaVinciConfig> pending_config_;
-  bool legacy_heavy_changers_ = false;
 
   DaVinciSketch live_;
   uint64_t live_inserts_ = 0;  // lets MergedWindow skip merging an empty live

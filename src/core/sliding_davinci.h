@@ -53,15 +53,10 @@ class SlidingDaVinci {
   DaVinciSketch MergedWindow() const { return engine_.MergedWindow(); }
 
   // Heavy changers of the newest epoch against the merged remainder of
-  // the window (the paper's two-window semantics). The pre-PR-5 behavior
-  // — newest vs the single oldest epoch — is available behind
-  // set_legacy_heavy_changers(true), defaulting off.
+  // the window (the paper's two-window semantics).
   std::vector<std::pair<uint32_t, int64_t>> HeavyChangers(
       int64_t delta) const {
     return engine_.HeavyChangers(delta);
-  }
-  void set_legacy_heavy_changers(bool legacy) {
-    engine_.set_legacy_heavy_changers(legacy);
   }
 
   // Aborts (DAVINCI_CHECK) if any window epoch or memoized window merge

@@ -8,34 +8,9 @@
 
 #include <cerrno>
 #include <cstring>
+#include <type_traits>
 
 namespace davinci::server {
-
-namespace {
-
-// Request body builders (kept local: the typed methods are the API).
-
-std::string ReqHeader(Op op) {
-  WireWriter writer;
-  writer.U8(kProtocolVersion);
-  writer.U8(static_cast<uint8_t>(op));
-  return writer.Take();
-}
-
-std::string NameOnlyRequest(Op op, const std::string& name) {
-  WireWriter writer;
-  writer.U8(kProtocolVersion);
-  writer.U8(static_cast<uint8_t>(op));
-  writer.Str(name);
-  return writer.Take();
-}
-
-bool ReadPairs(WireReader& reader,
-               std::vector<std::pair<uint32_t, int64_t>>* out) {
-  return reader.Pairs(out) && reader.Done();
-}
-
-}  // namespace
 
 Client::~Client() { Close(); }
 
@@ -114,12 +89,24 @@ bool Client::Call(const std::string& body, std::string* response) {
   return SendRequest(body) && ReadResponse(response);
 }
 
-bool Client::RoundTrip(const std::string& body, std::string* response,
-                       StatusCode* status) {
-  if (!Call(body, response)) return false;
-  if (response->empty()) return false;
-  *status = static_cast<StatusCode>(static_cast<uint8_t>((*response)[0]));
-  return true;
+template <typename E, typename... R, typename... Args>
+StatusCode Client::RoundTrip(std::tuple<R&...> reply, const Args&... args) {
+  static_assert(
+      std::is_same_v<std::tuple<R&...>,
+                     decltype(std::declval<typename E::Reply&>().Fields())>,
+      "reply references do not match the op's reply fields");
+  std::string body;
+  if (!EncodeRequest<E>(&body, args...)) return StatusCode::kMalformed;
+  std::string response;
+  if (!Call(body, &response)) return StatusCode::kInternal;
+  StatusCode status = ParseStatus(response);
+  if (status != StatusCode::kOk) return status;
+  WireReader reader(std::span<const uint8_t>(
+      reinterpret_cast<const uint8_t*>(response.data()) + 1,
+      response.size() - 1));
+  return DecodeFields(reader, reply) == StatusCode::kOk
+             ? StatusCode::kOk
+             : StatusCode::kInternal;
 }
 
 StatusCode Client::ParseStatus(const std::string& response) {
@@ -128,471 +115,152 @@ StatusCode Client::ParseStatus(const std::string& response) {
 }
 
 // ---------------------------------------------------------------------------
-// Admin / lifecycle.
+// Typed calls: one table entry each.
 
-StatusCode Client::Ping() {
-  std::string response;
-  StatusCode status = StatusCode::kInternal;
-  if (!RoundTrip(ReqHeader(Op::kPing), &response, &status)) {
-    return StatusCode::kInternal;
-  }
-  return status;
-}
+StatusCode Client::Ping() { return RoundTrip<ops::Ping>(std::tie()); }
 
 StatusCode Client::CreateTenant(const std::string& name, uint32_t shards,
                                 uint64_t total_bytes, uint64_t seed,
                                 uint32_t window_epochs, uint64_t max_bytes) {
-  WireWriter writer;
-  writer.U8(kProtocolVersion);
-  writer.U8(static_cast<uint8_t>(Op::kCreateTenant));
-  writer.Str(name);
-  writer.U32(shards);
-  writer.U64(total_bytes);
-  writer.U64(seed);
-  writer.U32(window_epochs);
-  writer.U64(max_bytes);
-  std::string response;
-  StatusCode status = StatusCode::kInternal;
-  if (!RoundTrip(writer.Take(), &response, &status)) {
-    return StatusCode::kInternal;
-  }
-  return status;
+  return RoundTrip<ops::CreateTenant>(std::tie(), name, shards, total_bytes,
+                                      seed, window_epochs, max_bytes);
 }
 
 StatusCode Client::ResizeTenant(const std::string& name, uint64_t total_bytes,
                                 uint64_t* new_memory_bytes) {
-  WireWriter writer;
-  writer.U8(kProtocolVersion);
-  writer.U8(static_cast<uint8_t>(Op::kResizeTenant));
-  writer.Str(name);
-  writer.U64(total_bytes);
-  std::string response;
-  StatusCode status = StatusCode::kInternal;
-  if (!RoundTrip(writer.Take(), &response, &status)) {
-    return StatusCode::kInternal;
-  }
-  if (status != StatusCode::kOk) return status;
-  WireReader reader(std::span<const uint8_t>(
-      reinterpret_cast<const uint8_t*>(response.data()) + 1,
-      response.size() - 1));
   uint64_t bytes = 0;
-  if (!reader.U64(&bytes) || !reader.Done()) return StatusCode::kInternal;
-  if (new_memory_bytes != nullptr) *new_memory_bytes = bytes;
-  return StatusCode::kOk;
+  StatusCode status =
+      RoundTrip<ops::ResizeTenant>(std::tie(bytes), name, total_bytes);
+  if (status == StatusCode::kOk && new_memory_bytes != nullptr) {
+    *new_memory_bytes = bytes;
+  }
+  return status;
 }
 
 StatusCode Client::DropTenant(const std::string& name) {
-  std::string response;
-  StatusCode status = StatusCode::kInternal;
-  if (!RoundTrip(NameOnlyRequest(Op::kDropTenant, name), &response, &status)) {
-    return StatusCode::kInternal;
-  }
-  return status;
+  return RoundTrip<ops::DropTenant>(std::tie(), name);
 }
 
 StatusCode Client::ListTenants(std::vector<std::string>* names) {
-  std::string response;
-  StatusCode status = StatusCode::kInternal;
-  if (!RoundTrip(ReqHeader(Op::kListTenants), &response, &status)) {
-    return StatusCode::kInternal;
-  }
-  if (status != StatusCode::kOk) return status;
-  WireReader reader(std::span<const uint8_t>(
-      reinterpret_cast<const uint8_t*>(response.data()) + 1,
-      response.size() - 1));
-  uint32_t n = 0;
-  if (!reader.U32(&n) || n > kMaxTenants) return StatusCode::kInternal;
-  names->clear();
-  for (uint32_t i = 0; i < n; ++i) {
-    std::string name;
-    if (!reader.Str(&name)) return StatusCode::kInternal;
-    names->push_back(std::move(name));
-  }
-  return reader.Done() ? StatusCode::kOk : StatusCode::kInternal;
+  return RoundTrip<ops::ListTenants>(std::tie(*names));
 }
 
 StatusCode Client::AdvanceEpoch(const std::string& name, uint64_t* epoch) {
-  std::string response;
-  StatusCode status = StatusCode::kInternal;
-  if (!RoundTrip(NameOnlyRequest(Op::kAdvanceEpoch, name), &response,
-                 &status)) {
-    return StatusCode::kInternal;
-  }
-  if (status != StatusCode::kOk) return status;
-  WireReader reader(std::span<const uint8_t>(
-      reinterpret_cast<const uint8_t*>(response.data()) + 1,
-      response.size() - 1));
-  return reader.U64(epoch) && reader.Done() ? StatusCode::kOk
-                                            : StatusCode::kInternal;
+  return RoundTrip<ops::AdvanceEpoch>(std::tie(*epoch), name);
 }
 
 StatusCode Client::Checkpoint(const std::string& name, bool* written) {
-  std::string response;
-  StatusCode status = StatusCode::kInternal;
-  if (!RoundTrip(NameOnlyRequest(Op::kCheckpoint, name), &response, &status)) {
-    return StatusCode::kInternal;
-  }
-  if (status != StatusCode::kOk) return status;
-  WireReader reader(std::span<const uint8_t>(
-      reinterpret_cast<const uint8_t*>(response.data()) + 1,
-      response.size() - 1));
-  uint8_t flag = 0;
-  if (!reader.U8(&flag) || !reader.Done()) return StatusCode::kInternal;
-  if (written != nullptr) *written = flag != 0;
-  return StatusCode::kOk;
-}
-
-StatusCode Client::Health(const std::string& name, HealthReply* out) {
-  std::string response;
-  StatusCode status = StatusCode::kInternal;
-  if (!RoundTrip(NameOnlyRequest(Op::kHealth, name), &response, &status)) {
-    return StatusCode::kInternal;
-  }
-  if (status != StatusCode::kOk) return status;
-  WireReader reader(std::span<const uint8_t>(
-      reinterpret_cast<const uint8_t*>(response.data()) + 1,
-      response.size() - 1));
-  uint8_t windowed = 0;
-  if (!reader.U64(&out->shards) || !reader.U64(&out->memory_bytes) ||
-      !reader.U64(&out->inserts) || !reader.U64(&out->queries) ||
-      !reader.U64(&out->epoch) || !reader.U8(&windowed) ||
-      !reader.U32(&out->merge_height) || !reader.U64(&out->resizes_applied) ||
-      !reader.U64(&out->resizes_rejected) ||
-      !reader.U64(&out->resize_bytes_before) ||
-      !reader.U64(&out->resize_bytes_after) ||
-      !reader.U32(&out->resize_last_trigger) || !reader.Done()) {
-    return StatusCode::kInternal;
-  }
-  out->windowed = windowed != 0;
-  return StatusCode::kOk;
-}
-
-StatusCode Client::FlushViews(const std::string& name) {
-  std::string response;
-  StatusCode status = StatusCode::kInternal;
-  if (!RoundTrip(NameOnlyRequest(Op::kFlushViews, name), &response, &status)) {
-    return StatusCode::kInternal;
-  }
+  bool flag = false;
+  StatusCode status = RoundTrip<ops::Checkpoint>(std::tie(flag), name);
+  if (status == StatusCode::kOk && written != nullptr) *written = flag;
   return status;
 }
 
-// ---------------------------------------------------------------------------
-// Merge-tree fan-in.
+StatusCode Client::Health(const std::string& name, HealthReply* out) {
+  return RoundTrip<ops::Health>(out->Fields(), name);
+}
+
+StatusCode Client::FlushViews(const std::string& name) {
+  return RoundTrip<ops::FlushViews>(std::tie(), name);
+}
 
 StatusCode Client::ExportSketch(const std::string& name, uint8_t format,
                                 ExportedSketch* out) {
-  WireWriter writer;
-  writer.U8(kProtocolVersion);
-  writer.U8(static_cast<uint8_t>(Op::kExportSketch));
-  writer.Str(name);
-  writer.U8(format);
-  std::string response;
-  StatusCode status = StatusCode::kInternal;
-  if (!RoundTrip(writer.Take(), &response, &status)) {
-    return StatusCode::kInternal;
-  }
-  if (status != StatusCode::kOk) return status;
-  WireReader reader(std::span<const uint8_t>(
-      reinterpret_cast<const uint8_t*>(response.data()) + 1,
-      response.size() - 1));
-  return reader.U32(&out->height) && reader.Blob(&out->image) && reader.Done()
-             ? StatusCode::kOk
-             : StatusCode::kInternal;
+  return RoundTrip<ops::ExportSketch>(std::tie(*out), name, format);
 }
 
 StatusCode Client::ImportMerge(const std::string& name,
                                std::span<const ExportedSketch> images,
                                uint32_t* new_height) {
-  WireWriter writer;
-  writer.U8(kProtocolVersion);
-  writer.U8(static_cast<uint8_t>(Op::kImportMerge));
-  writer.Str(name);
-  writer.U32(static_cast<uint32_t>(images.size()));
-  for (const ExportedSketch& exported : images) {
-    writer.U32(exported.height);
-    writer.Blob(exported.image);
-  }
-  std::string response;
-  StatusCode status = StatusCode::kInternal;
-  if (!RoundTrip(writer.Take(), &response, &status)) {
-    return StatusCode::kInternal;
-  }
-  if (status != StatusCode::kOk) return status;
-  WireReader reader(std::span<const uint8_t>(
-      reinterpret_cast<const uint8_t*>(response.data()) + 1,
-      response.size() - 1));
   uint32_t height = 0;
-  if (!reader.U32(&height) || !reader.Done()) return StatusCode::kInternal;
-  if (new_height != nullptr) *new_height = height;
-  return StatusCode::kOk;
+  StatusCode status =
+      RoundTrip<ops::ImportMerge>(std::tie(height), name, images);
+  if (status == StatusCode::kOk && new_height != nullptr) {
+    *new_height = height;
+  }
+  return status;
 }
-
-// ---------------------------------------------------------------------------
-// Ingest.
 
 StatusCode Client::Insert(const std::string& name, uint32_t key,
                           int64_t count) {
-  WireWriter writer;
-  writer.U8(kProtocolVersion);
-  writer.U8(static_cast<uint8_t>(Op::kInsert));
-  writer.Str(name);
-  writer.U32(key);
-  writer.I64(count);
-  std::string response;
-  StatusCode status = StatusCode::kInternal;
-  if (!RoundTrip(writer.Take(), &response, &status)) {
-    return StatusCode::kInternal;
-  }
-  return status;
+  return RoundTrip<ops::Insert>(std::tie(), name, key, count);
 }
 
 std::string Client::InsertBatchRequest(const std::string& name,
                                        std::span<const uint32_t> keys,
                                        std::span<const int64_t> counts) {
-  WireWriter writer;
-  writer.U8(kProtocolVersion);
-  writer.U8(static_cast<uint8_t>(Op::kInsertBatch));
-  writer.Str(name);
-  writer.Keys(keys);
-  writer.Counts(counts);
-  return writer.Take();
+  std::string body;
+  EncodeRequest<ops::InsertBatch>(&body, name, keys, counts);
+  return body;
 }
 
 StatusCode Client::InsertBatch(const std::string& name,
                                std::span<const uint32_t> keys,
                                std::span<const int64_t> counts) {
-  std::string response;
-  StatusCode status = StatusCode::kInternal;
-  if (!RoundTrip(InsertBatchRequest(name, keys, counts), &response, &status)) {
-    return StatusCode::kInternal;
-  }
-  return status;
+  return RoundTrip<ops::InsertBatch>(std::tie(), name, keys, counts);
 }
 
-// ---------------------------------------------------------------------------
-// Queries.
-
 std::string Client::QueryRequest(const std::string& name, uint32_t key) {
-  WireWriter writer;
-  writer.U8(kProtocolVersion);
-  writer.U8(static_cast<uint8_t>(Op::kQuery));
-  writer.Str(name);
-  writer.U32(key);
-  return writer.Take();
+  std::string body;
+  EncodeRequest<ops::Query>(&body, name, key);
+  return body;
 }
 
 StatusCode Client::Query(const std::string& name, uint32_t key, int64_t* out) {
-  std::string response;
-  StatusCode status = StatusCode::kInternal;
-  if (!RoundTrip(QueryRequest(name, key), &response, &status)) {
-    return StatusCode::kInternal;
-  }
-  if (status != StatusCode::kOk) return status;
-  WireReader reader(std::span<const uint8_t>(
-      reinterpret_cast<const uint8_t*>(response.data()) + 1,
-      response.size() - 1));
-  return reader.I64(out) && reader.Done() ? StatusCode::kOk
-                                          : StatusCode::kInternal;
+  return RoundTrip<ops::Query>(std::tie(*out), name, key);
 }
 
 StatusCode Client::QueryBatch(const std::string& name,
                               std::span<const uint32_t> keys,
                               std::vector<int64_t>* out) {
-  WireWriter writer;
-  writer.U8(kProtocolVersion);
-  writer.U8(static_cast<uint8_t>(Op::kQueryBatch));
-  writer.Str(name);
-  writer.Keys(keys);
-  std::string response;
-  StatusCode status = StatusCode::kInternal;
-  if (!RoundTrip(writer.Take(), &response, &status)) {
-    return StatusCode::kInternal;
-  }
-  if (status != StatusCode::kOk) return status;
-  WireReader reader(std::span<const uint8_t>(
-      reinterpret_cast<const uint8_t*>(response.data()) + 1,
-      response.size() - 1));
-  return reader.Counts(out) && reader.Done() ? StatusCode::kOk
-                                             : StatusCode::kInternal;
+  return RoundTrip<ops::QueryBatch>(std::tie(*out), name, keys);
 }
 
 StatusCode Client::HeavyHitters(
     const std::string& name, int64_t threshold,
     std::vector<std::pair<uint32_t, int64_t>>* out) {
-  WireWriter writer;
-  writer.U8(kProtocolVersion);
-  writer.U8(static_cast<uint8_t>(Op::kHeavyHitters));
-  writer.Str(name);
-  writer.I64(threshold);
-  std::string response;
-  StatusCode status = StatusCode::kInternal;
-  if (!RoundTrip(writer.Take(), &response, &status)) {
-    return StatusCode::kInternal;
-  }
-  if (status != StatusCode::kOk) return status;
-  WireReader reader(std::span<const uint8_t>(
-      reinterpret_cast<const uint8_t*>(response.data()) + 1,
-      response.size() - 1));
-  return ReadPairs(reader, out) ? StatusCode::kOk : StatusCode::kInternal;
+  return RoundTrip<ops::HeavyHitters>(std::tie(*out), name, threshold);
 }
 
 StatusCode Client::HeavyChangers(
     const std::string& a, const std::string& b, int64_t delta,
     std::vector<std::pair<uint32_t, int64_t>>* out) {
-  WireWriter writer;
-  writer.U8(kProtocolVersion);
-  writer.U8(static_cast<uint8_t>(Op::kHeavyChangers));
-  writer.Str(a);
-  writer.Str(b);
-  writer.I64(delta);
-  std::string response;
-  StatusCode status = StatusCode::kInternal;
-  if (!RoundTrip(writer.Take(), &response, &status)) {
-    return StatusCode::kInternal;
-  }
-  if (status != StatusCode::kOk) return status;
-  WireReader reader(std::span<const uint8_t>(
-      reinterpret_cast<const uint8_t*>(response.data()) + 1,
-      response.size() - 1));
-  return ReadPairs(reader, out) ? StatusCode::kOk : StatusCode::kInternal;
+  return RoundTrip<ops::HeavyChangers>(std::tie(*out), a, b, delta);
 }
 
 StatusCode Client::Cardinality(const std::string& name, double* out) {
-  std::string response;
-  StatusCode status = StatusCode::kInternal;
-  if (!RoundTrip(NameOnlyRequest(Op::kCardinality, name), &response,
-                 &status)) {
-    return StatusCode::kInternal;
-  }
-  if (status != StatusCode::kOk) return status;
-  WireReader reader(std::span<const uint8_t>(
-      reinterpret_cast<const uint8_t*>(response.data()) + 1,
-      response.size() - 1));
-  return reader.F64(out) && reader.Done() ? StatusCode::kOk
-                                          : StatusCode::kInternal;
+  return RoundTrip<ops::Cardinality>(std::tie(*out), name);
 }
 
 StatusCode Client::Distribution(
     const std::string& name, std::vector<std::pair<int64_t, int64_t>>* out) {
-  std::string response;
-  StatusCode status = StatusCode::kInternal;
-  if (!RoundTrip(NameOnlyRequest(Op::kDistribution, name), &response,
-                 &status)) {
-    return StatusCode::kInternal;
-  }
-  if (status != StatusCode::kOk) return status;
-  WireReader reader(std::span<const uint8_t>(
-      reinterpret_cast<const uint8_t*>(response.data()) + 1,
-      response.size() - 1));
-  uint32_t n = 0;
-  if (!reader.U32(&n) || n > kMaxBatchKeys) return StatusCode::kInternal;
-  out->clear();
-  out->reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    int64_t size = 0;
-    int64_t flows = 0;
-    if (!reader.I64(&size) || !reader.I64(&flows)) {
-      return StatusCode::kInternal;
-    }
-    out->emplace_back(size, flows);
-  }
-  return reader.Done() ? StatusCode::kOk : StatusCode::kInternal;
+  return RoundTrip<ops::Distribution>(std::tie(*out), name);
 }
 
 StatusCode Client::Entropy(const std::string& name, double* out) {
-  std::string response;
-  StatusCode status = StatusCode::kInternal;
-  if (!RoundTrip(NameOnlyRequest(Op::kEntropy, name), &response, &status)) {
-    return StatusCode::kInternal;
-  }
-  if (status != StatusCode::kOk) return status;
-  WireReader reader(std::span<const uint8_t>(
-      reinterpret_cast<const uint8_t*>(response.data()) + 1,
-      response.size() - 1));
-  return reader.F64(out) && reader.Done() ? StatusCode::kOk
-                                          : StatusCode::kInternal;
+  return RoundTrip<ops::Entropy>(std::tie(*out), name);
 }
 
 StatusCode Client::UnionCardinality(const std::string& a, const std::string& b,
                                     double* out) {
-  WireWriter writer;
-  writer.U8(kProtocolVersion);
-  writer.U8(static_cast<uint8_t>(Op::kUnionCardinality));
-  writer.Str(a);
-  writer.Str(b);
-  std::string response;
-  StatusCode status = StatusCode::kInternal;
-  if (!RoundTrip(writer.Take(), &response, &status)) {
-    return StatusCode::kInternal;
-  }
-  if (status != StatusCode::kOk) return status;
-  WireReader reader(std::span<const uint8_t>(
-      reinterpret_cast<const uint8_t*>(response.data()) + 1,
-      response.size() - 1));
-  return reader.F64(out) && reader.Done() ? StatusCode::kOk
-                                          : StatusCode::kInternal;
+  return RoundTrip<ops::UnionCardinality>(std::tie(*out), a, b);
 }
 
 StatusCode Client::DifferenceQuery(const std::string& a, const std::string& b,
                                    std::span<const uint32_t> keys,
                                    std::vector<int64_t>* out) {
-  WireWriter writer;
-  writer.U8(kProtocolVersion);
-  writer.U8(static_cast<uint8_t>(Op::kDifferenceQuery));
-  writer.Str(a);
-  writer.Str(b);
-  writer.Keys(keys);
-  std::string response;
-  StatusCode status = StatusCode::kInternal;
-  if (!RoundTrip(writer.Take(), &response, &status)) {
-    return StatusCode::kInternal;
-  }
-  if (status != StatusCode::kOk) return status;
-  WireReader reader(std::span<const uint8_t>(
-      reinterpret_cast<const uint8_t*>(response.data()) + 1,
-      response.size() - 1));
-  return reader.Counts(out) && reader.Done() ? StatusCode::kOk
-                                             : StatusCode::kInternal;
+  return RoundTrip<ops::DifferenceQuery>(std::tie(*out), a, b, keys);
 }
 
 StatusCode Client::InnerProduct(const std::string& a, const std::string& b,
                                 double* out) {
-  WireWriter writer;
-  writer.U8(kProtocolVersion);
-  writer.U8(static_cast<uint8_t>(Op::kInnerProduct));
-  writer.Str(a);
-  writer.Str(b);
-  std::string response;
-  StatusCode status = StatusCode::kInternal;
-  if (!RoundTrip(writer.Take(), &response, &status)) {
-    return StatusCode::kInternal;
-  }
-  if (status != StatusCode::kOk) return status;
-  WireReader reader(std::span<const uint8_t>(
-      reinterpret_cast<const uint8_t*>(response.data()) + 1,
-      response.size() - 1));
-  return reader.F64(out) && reader.Done() ? StatusCode::kOk
-                                          : StatusCode::kInternal;
+  return RoundTrip<ops::InnerProduct>(std::tie(*out), a, b);
 }
 
 StatusCode Client::WindowHeavyChangers(
     const std::string& name, int64_t delta,
     std::vector<std::pair<uint32_t, int64_t>>* out) {
-  WireWriter writer;
-  writer.U8(kProtocolVersion);
-  writer.U8(static_cast<uint8_t>(Op::kWindowHeavyChangers));
-  writer.Str(name);
-  writer.I64(delta);
-  std::string response;
-  StatusCode status = StatusCode::kInternal;
-  if (!RoundTrip(writer.Take(), &response, &status)) {
-    return StatusCode::kInternal;
-  }
-  if (status != StatusCode::kOk) return status;
-  WireReader reader(std::span<const uint8_t>(
-      reinterpret_cast<const uint8_t*>(response.data()) + 1,
-      response.size() - 1));
-  return ReadPairs(reader, out) ? StatusCode::kOk : StatusCode::kInternal;
+  return RoundTrip<ops::WindowHeavyChangers>(std::tie(*out), name, delta);
 }
 
 }  // namespace davinci::server

@@ -4,36 +4,23 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "server/ops.h"
 #include "server/protocol.h"
 
 // Blocking client for the sketch server: one method per opcode, plus raw
 // escape hatches (SendRaw / SendRequest / ReadResponse / fd()) that the
 // conformance tests use to speak hostile bytes and the loadgen uses to
-// pipeline. Every typed call returns the server's StatusCode, or
-// kInternal when the transport itself failed (connection refused, short
-// read, oversized reply). Not thread-safe: one Client per thread.
+// pipeline. Every typed call is one round trip over the opcode table
+// (server/ops.h) and returns the server's StatusCode; kMalformed, without
+// touching the socket, when a name exceeds kMaxNameBytes; or kInternal
+// when the transport itself failed (connection refused, short read,
+// oversized or unparseable reply). Not thread-safe: one Client per thread.
 
 namespace davinci::server {
-
-struct HealthReply {
-  uint64_t shards = 0;
-  uint64_t memory_bytes = 0;
-  uint64_t inserts = 0;
-  uint64_t queries = 0;
-  uint64_t epoch = 0;
-  bool windowed = false;
-  // Merge-tree aggregation height (0 = pure raw-ingest leaf).
-  uint32_t merge_height = 0;
-  // Resize provenance (kResizeTenant / autotune; survives DVCK recovery).
-  uint64_t resizes_applied = 0;
-  uint64_t resizes_rejected = 0;
-  uint64_t resize_bytes_before = 0;
-  uint64_t resize_bytes_after = 0;
-  uint32_t resize_last_trigger = 0;  // obs::ResizeHealth::Trigger
-};
 
 class Client {
  public:
@@ -79,10 +66,7 @@ class Client {
 
   // ---- merge-tree fan-in ----
   // One exported image with its aggregation height, as shipped on the wire.
-  struct ExportedSketch {
-    uint32_t height = 0;
-    std::string image;
-  };
+  using ExportedSketch = server::ExportedSketch;
   // Flushes + serializes `name`'s shard image server-side (format 0 = flat,
   // 1 = DVSZ compressed) and returns it with the tenant's merge height.
   StatusCode ExportSketch(const std::string& name, uint8_t format,
@@ -98,7 +82,8 @@ class Client {
   StatusCode InsertBatch(const std::string& name,
                          std::span<const uint32_t> keys,
                          std::span<const int64_t> counts);
-  // Builds the kInsertBatch request body without sending it (pipelining).
+  // Builds the kInsertBatch request body without sending it (pipelining);
+  // empty when `name` exceeds kMaxNameBytes.
   static std::string InsertBatchRequest(const std::string& name,
                                         std::span<const uint32_t> keys,
                                         std::span<const int64_t> counts);
@@ -108,6 +93,7 @@ class Client {
   StatusCode QueryBatch(const std::string& name,
                         std::span<const uint32_t> keys,
                         std::vector<int64_t>* out);
+  // Builds the kQuery request body (empty when `name` is over-long).
   static std::string QueryRequest(const std::string& name, uint32_t key);
   StatusCode HeavyHitters(const std::string& name, int64_t threshold,
                           std::vector<std::pair<uint32_t, int64_t>>* out);
@@ -134,10 +120,11 @@ class Client {
   static StatusCode ParseStatus(const std::string& response);
 
  private:
-  // Sends `body` and parses `u8 status`, leaving the reader positioned on
-  // the payload for the caller. False on transport failure.
-  bool RoundTrip(const std::string& body, std::string* response,
-                 StatusCode* status);
+  // One typed round trip for table entry E: encodes `args` as E's request
+  // and, on kOk, decodes the reply into `reply` (references to E::Reply's
+  // fields, in order).
+  template <typename E, typename... R, typename... Args>
+  StatusCode RoundTrip(std::tuple<R&...> reply, const Args&... args);
 
   int fd_ = -1;
 };

@@ -1,7 +1,9 @@
 #include "server/dispatcher.h"
 
 #include <algorithm>
+#include <array>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -25,13 +27,338 @@ StatusCode ToStatus(RegistryResult result) {
   return StatusCode::kInternal;
 }
 
+static_assert(static_cast<uint8_t>(SketchFormat::kCompressed) == 1,
+              "ops::ExportSketch::Request::Valid bounds the format at 1");
+
 }  // namespace
 
 RequestDispatcher::RequestDispatcher(TenantRegistry* registry,
                                      DispatcherOptions options)
     : registry_(registry), options_(options) {}
 
+void RequestDispatcher::MaybeCheckpoint(Tenant& tenant, uint64_t mutations) {
+  if (options_.checkpoint_every == 0 || !registry_->persistent()) return;
+  if (tenant.CountMutations(mutations) >= options_.checkpoint_every) {
+    // Seal boundary first, so the checkpointed image is epoch-aligned;
+    // Checkpoint() resets the mutation clock on success.
+    tenant.AdvanceEpoch();
+    registry_->Checkpoint(tenant);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Admin / lifecycle.
+
+template <>
+StatusCode RequestDispatcher::Serve<ops::Ping>(ops::Empty&, ops::Empty*) {
+  return StatusCode::kOk;
+}
+
+template <>
+StatusCode RequestDispatcher::Serve<ops::CreateTenant>(
+    ops::CreateTenant::Request& request, ops::Empty*) {
+  TenantOptions options{request.shards, request.total_bytes, request.seed,
+                        request.window_epochs, request.max_bytes};
+  // Quota admission gets its own status so a client can tell "you asked
+  // for more than your ceiling" from a structurally invalid request
+  // (registry Create would fold both into kBadArgument via Valid()).
+  if (options.max_bytes != 0 && options.total_bytes > options.max_bytes) {
+    return StatusCode::kQuotaExceeded;
+  }
+  return ToStatus(registry_->Create(request.name, options));
+}
+
+template <>
+StatusCode RequestDispatcher::Serve<ops::DropTenant>(ops::Name& request,
+                                                     ops::Empty*) {
+  return ToStatus(registry_->Drop(request.name));
+}
+
+template <>
+StatusCode RequestDispatcher::Serve<ops::ListTenants>(
+    ops::Empty&, ops::ListTenants::Reply* reply) {
+  reply->names = registry_->List();
+  return StatusCode::kOk;
+}
+
+template <>
+StatusCode RequestDispatcher::Serve<ops::AdvanceEpoch>(
+    Tenant& tenant, ops::Name&, ops::AdvanceEpoch::Reply* reply) {
+  reply->epoch = tenant.AdvanceEpoch();
+  // Epoch seals are the checkpoint boundary: a persistent server durably
+  // captures the sealed state right here.
+  if (registry_->persistent()) registry_->Checkpoint(tenant);
+  return StatusCode::kOk;
+}
+
+template <>
+StatusCode RequestDispatcher::Serve<ops::Checkpoint>(
+    Tenant& tenant, ops::Name&, ops::Checkpoint::Reply* reply) {
+  reply->written = registry_->Checkpoint(tenant);
+  return StatusCode::kOk;
+}
+
+template <>
+StatusCode RequestDispatcher::Serve<ops::ResizeTenant>(
+    Tenant& tenant, ops::ResizeTenant::Request& request,
+    ops::ResizeTenant::Reply* reply) {
+  switch (tenant.Resize(request.total_bytes, obs::ResizeHealth::kAdmin)) {
+    case Tenant::ResizeOutcome::kBadArgument:
+      return StatusCode::kBadArgument;
+    case Tenant::ResizeOutcome::kQuotaExceeded:
+      return StatusCode::kQuotaExceeded;
+    case Tenant::ResizeOutcome::kOk:
+      break;
+  }
+  // A resize is durable state: on a persistent server the new geometry
+  // must survive a crash even if no further ingest arrives, so checkpoint
+  // at the same seal boundary the periodic trigger uses.
+  if (registry_->persistent()) {
+    tenant.AdvanceEpoch();
+    registry_->Checkpoint(tenant);
+  }
+  reply->memory_bytes = tenant.engine().MemoryBytes();
+  return StatusCode::kOk;
+}
+
+template <>
+StatusCode RequestDispatcher::Serve<ops::Health>(Tenant& tenant, ops::Name&,
+                                                 HealthReply* reply) {
+  obs::HealthSnapshot stats;
+  tenant.CollectStats(&stats);
+  *reply = HealthReply{stats.shards, stats.memory_bytes, stats.inserts,
+                       stats.queries, tenant.epoch(), tenant.windowed(),
+                       tenant.merge_height(), stats.resize.applied,
+                       stats.resize.rejected, stats.resize.bytes_before,
+                       stats.resize.bytes_after, stats.resize.last_trigger};
+  return StatusCode::kOk;
+}
+
+template <>
+StatusCode RequestDispatcher::Serve<ops::FlushViews>(Tenant& tenant,
+                                                     ops::Name&, ops::Empty*) {
+  tenant.engine().FlushViews();
+  return StatusCode::kOk;
+}
+
+// ---------------------------------------------------------------------------
+// Merge-tree fan-in.
+
+template <>
+StatusCode RequestDispatcher::Serve<ops::ExportSketch>(
+    Tenant& tenant, ops::ExportSketch::Request& request,
+    ops::ExportSketch::Reply* reply) {
+  // Flush first so the exported image carries every completed write, same
+  // contract as a checkpoint.
+  tenant.engine().FlushViews();
+  std::ostringstream image;
+  tenant.engine().SaveShards(image, static_cast<SketchFormat>(request.format));
+  reply->sketch.image = std::move(image).str();
+  // status + height + blob length prefix must still frame; a tenant too big
+  // for one flat frame can usually still export compressed.
+  if (reply->sketch.image.size() + 16 > kMaxFrameBytes) {
+    return StatusCode::kTooLarge;
+  }
+  reply->sketch.height = tenant.merge_height();
+  return StatusCode::kOk;
+}
+
+template <>
+StatusCode RequestDispatcher::Serve<ops::ImportMerge>(
+    Tenant& tenant, ops::ImportMerge::Request& request,
+    ops::ImportMerge::Reply* reply) {
+  // All-or-nothing: every image is parsed and geometry-gated BEFORE any of
+  // them touches the engine, so a bad image in the middle of the batch
+  // cannot leave a half-applied fold.
+  std::vector<std::vector<DaVinciSketch>> staged;
+  staged.reserve(request.images.size());
+  uint64_t total_bytes = 0;
+  uint32_t max_source_height = 0;
+  for (const ExportedSketch& exported : request.images) {
+    std::istringstream in(exported.image);
+    std::vector<DaVinciSketch> shards;
+    if (!tenant.engine().ParseShardImage(in, &shards) ||
+        in.peek() != std::char_traits<char>::eof()) {
+      return StatusCode::kBadArgument;
+    }
+    total_bytes += exported.image.size();
+    max_source_height = std::max(max_source_height, exported.height);
+    staged.push_back(std::move(shards));
+  }
+  const uint32_t n = static_cast<uint32_t>(request.images.size());
+  tenant.engine().MergeShardImages(std::move(staged));
+  tenant.RecordImport(n, total_bytes, max_source_height);
+  MaybeCheckpoint(tenant, n);
+  reply->height = tenant.merge_height();
+  return StatusCode::kOk;
+}
+
+// ---------------------------------------------------------------------------
+// Ingest.
+
+template <>
+StatusCode RequestDispatcher::Serve<ops::Insert>(
+    Tenant& tenant, ops::Insert::Request& request, ops::Empty*) {
+  tenant.Insert(request.key, request.count);
+  MaybeCheckpoint(tenant, 1);
+  return StatusCode::kOk;
+}
+
+template <>
+StatusCode RequestDispatcher::Serve<ops::InsertBatch>(
+    Tenant& tenant, ops::InsertBatch::Request& request, ops::Empty*) {
+  if (request.counts.empty()) request.counts.assign(request.keys.size(), 1);
+  tenant.InsertBatch(request.keys, request.counts);
+  MaybeCheckpoint(tenant, request.keys.size());
+  return StatusCode::kOk;
+}
+
+// ---------------------------------------------------------------------------
+// Single-tenant queries — all answered from published views (the engine's
+// lock-free read paths or Snapshot()); no writer lock is ever taken here.
+
+template <>
+StatusCode RequestDispatcher::Serve<ops::Query>(Tenant& tenant,
+                                                ops::Query::Request& request,
+                                                ops::Query::Reply* reply) {
+  reply->count = tenant.engine().Query(request.key);
+  return StatusCode::kOk;
+}
+
+template <>
+StatusCode RequestDispatcher::Serve<ops::QueryBatch>(
+    Tenant& tenant, ops::QueryBatch::Request& request, ops::Counts* reply) {
+  reply->counts = tenant.engine().QueryBatch(request.keys);
+  return StatusCode::kOk;
+}
+
+template <>
+StatusCode RequestDispatcher::Serve<ops::HeavyHitters>(
+    Tenant& tenant, ops::HeavyHitters::Request& request, ops::Pairs* reply) {
+  reply->pairs = tenant.engine().HeavyHitters(request.threshold);
+  return StatusCode::kOk;
+}
+
+template <>
+StatusCode RequestDispatcher::Serve<ops::Cardinality>(Tenant& tenant,
+                                                      ops::Name&,
+                                                      ops::Value* reply) {
+  reply->value = tenant.engine().EstimateCardinality();
+  return StatusCode::kOk;
+}
+
+template <>
+StatusCode RequestDispatcher::Serve<ops::Distribution>(
+    Tenant& tenant, ops::Name&, ops::Distribution::Reply* reply) {
+  std::map<int64_t, int64_t> dist = tenant.engine().Snapshot().Distribution();
+  reply->dist.assign(dist.begin(), dist.end());
+  return StatusCode::kOk;
+}
+
+template <>
+StatusCode RequestDispatcher::Serve<ops::Entropy>(Tenant& tenant, ops::Name&,
+                                                  ops::Value* reply) {
+  reply->value = tenant.engine().Snapshot().EstimateEntropy();
+  return StatusCode::kOk;
+}
+
+template <>
+StatusCode RequestDispatcher::Serve<ops::WindowHeavyChangers>(
+    Tenant& tenant, ops::WindowHeavyChangers::Request& request,
+    ops::Pairs* reply) {
+  if (!tenant.windowed()) return StatusCode::kBadArgument;
+  reply->pairs = tenant.WindowHeavyChangers(request.delta);
+  return StatusCode::kOk;
+}
+
+// ---------------------------------------------------------------------------
+// Cross-tenant queries, over snapshots Run has already geometry-gated.
+
+template <>
+StatusCode RequestDispatcher::Serve<ops::HeavyChangers>(
+    DaVinciSketch& a, const DaVinciSketch& b,
+    ops::HeavyChangers::Request& request, ops::Pairs* reply) {
+  reply->pairs = a.HeavyChangers(b, request.delta);
+  return StatusCode::kOk;
+}
+
+template <>
+StatusCode RequestDispatcher::Serve<ops::UnionCardinality>(
+    DaVinciSketch& a, const DaVinciSketch& b, ops::NamePair&,
+    ops::Value* reply) {
+  a.Merge(b);
+  reply->value = a.EstimateCardinality();
+  return StatusCode::kOk;
+}
+
+template <>
+StatusCode RequestDispatcher::Serve<ops::DifferenceQuery>(
+    DaVinciSketch& a, const DaVinciSketch& b,
+    ops::DifferenceQuery::Request& request, ops::Counts* reply) {
+  a.Subtract(b);
+  reply->counts = a.QueryBatch(request.keys);
+  return StatusCode::kOk;
+}
+
+template <>
+StatusCode RequestDispatcher::Serve<ops::InnerProduct>(
+    DaVinciSketch& a, const DaVinciSketch& b, ops::NamePair&,
+    ops::Value* reply) {
+  reply->value = DaVinciSketch::InnerProduct(a, b);
+  return StatusCode::kOk;
+}
+
+// ---------------------------------------------------------------------------
+// One request: decode once, resolve the scope, serve, encode once.
+
+template <typename E>
+std::string RequestDispatcher::Run(WireReader& reader) {
+  typename E::Request request;
+  typename E::Reply reply;
+  StatusCode status = Decode(reader, &request);
+  if (status != StatusCode::kOk) return StatusBody(status);
+  if constexpr (E::kScope == ops::Scope::kTenant) {
+    std::shared_ptr<Tenant> tenant = registry_->Find(request.name);
+    status = tenant ? Serve<E>(*tenant, request, &reply)
+                    : StatusCode::kNoSuchTenant;
+  } else if constexpr (E::kScope == ops::Scope::kTenantPair) {
+    std::shared_ptr<Tenant> a = registry_->Find(request.a);
+    std::shared_ptr<Tenant> b = registry_->Find(request.b);
+    if (!a || !b) return StatusBody(StatusCode::kNoSuchTenant);
+    DaVinciSketch snap_a = a->engine().Snapshot();
+    DaVinciSketch snap_b = b->engine().Snapshot();
+    // The core's Merge/Subtract/HeavyChangers/InnerProduct DAVINCI_CHECK-
+    // abort on mismatched geometry, so a hostile pairing answers
+    // kBadArgument here instead of killing the daemon for every other
+    // tenant. Two kResizable tenants (same seed, different split) are
+    // refused too: the server never rebuilds a whole tenant for one query.
+    status = DaVinciConfig::GeometryCompatible(snap_a.config(),
+                                               snap_b.config()) ==
+                     DaVinciConfig::GeometryRelation::kIdentical
+                 ? Serve<E>(snap_a, snap_b, request, &reply)
+                 : StatusCode::kBadArgument;
+  } else {
+    status = Serve<E>(request, &reply);
+  }
+  if (status != StatusCode::kOk) return StatusBody(status);
+  WireWriter writer;
+  writer.U8(static_cast<uint8_t>(StatusCode::kOk));
+  Encode(writer, reply);
+  return writer.Take();
+}
+
 std::string RequestDispatcher::Handle(std::span<const uint8_t> body) {
+  using Handler = std::string (RequestDispatcher::*)(WireReader&);
+  // Opcode byte -> Run<E>, built from the table at compile time; a null
+  // slot is an opcode outside the table.
+  static constexpr std::array<Handler, 256> kHandlers =
+      []<typename... E>(ops::List<E...>) {
+        std::array<Handler, 256> handlers{};
+        ((handlers[static_cast<uint8_t>(E::kOp)] = &RequestDispatcher::Run<E>),
+         ...);
+        return handlers;
+      }(ops::Table{});
+
   WireReader reader(body);
   uint8_t version = 0;
   uint8_t opcode = 0;
@@ -41,507 +368,9 @@ std::string RequestDispatcher::Handle(std::span<const uint8_t> body) {
   if (version != kProtocolVersion) {
     return StatusBody(StatusCode::kBadVersion);
   }
-  return Dispatch(static_cast<Op>(opcode), reader);
-}
-
-std::string RequestDispatcher::Dispatch(Op op, WireReader& reader) {
-  switch (op) {
-    case Op::kPing:
-      return reader.Done() ? StatusBody(StatusCode::kOk)
-                           : StatusBody(StatusCode::kMalformed);
-    case Op::kCreateTenant: return CreateTenant(reader);
-    case Op::kDropTenant: return DropTenant(reader);
-    case Op::kListTenants: return ListTenants(reader);
-    case Op::kAdvanceEpoch: return AdvanceEpoch(reader);
-    case Op::kCheckpoint: return Checkpoint(reader);
-    case Op::kHealth: return Health(reader);
-    case Op::kFlushViews: return FlushViews(reader);
-    case Op::kInsert: return Insert(reader);
-    case Op::kInsertBatch: return InsertBatch(reader);
-    case Op::kQuery: return Query(reader);
-    case Op::kQueryBatch: return QueryBatch(reader);
-    case Op::kHeavyHitters: return HeavyHitters(reader);
-    case Op::kHeavyChangers: return HeavyChangers(reader);
-    case Op::kCardinality: return Cardinality(reader);
-    case Op::kDistribution: return Distribution(reader);
-    case Op::kEntropy: return Entropy(reader);
-    case Op::kUnionCardinality: return UnionCardinality(reader);
-    case Op::kDifferenceQuery: return DifferenceQuery(reader);
-    case Op::kInnerProduct: return InnerProduct(reader);
-    case Op::kWindowHeavyChangers: return WindowHeavyChangers(reader);
-    case Op::kExportSketch: return ExportSketch(reader);
-    case Op::kImportMerge: return ImportMerge(reader);
-    case Op::kResizeTenant: return ResizeTenant(reader);
-  }
-  return StatusBody(StatusCode::kUnknownOp);
-}
-
-void RequestDispatcher::MaybeCheckpoint(const std::shared_ptr<Tenant>& tenant,
-                                        uint64_t mutations) {
-  if (options_.checkpoint_every == 0 || !registry_->persistent()) return;
-  if (tenant->CountMutations(mutations) >= options_.checkpoint_every) {
-    // Seal boundary first, so the checkpointed image is epoch-aligned;
-    // Checkpoint() resets the mutation clock on success.
-    tenant->AdvanceEpoch();
-    registry_->Checkpoint(*tenant);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Admin / lifecycle.
-
-std::string RequestDispatcher::CreateTenant(WireReader& reader) {
-  std::string name;
-  TenantOptions options;
-  if (!reader.Str(&name) || !reader.U32(&options.shards) ||
-      !reader.U64(&options.total_bytes) || !reader.U64(&options.seed) ||
-      !reader.U32(&options.window_epochs) || !reader.U64(&options.max_bytes) ||
-      !reader.Done()) {
-    return StatusBody(StatusCode::kMalformed);
-  }
-  // Quota admission gets its own status so a client can tell "you asked
-  // for more than your ceiling" from a structurally invalid request
-  // (registry Create would fold both into kBadArgument via Valid()).
-  if (options.max_bytes != 0 && options.total_bytes > options.max_bytes) {
-    return StatusBody(StatusCode::kQuotaExceeded);
-  }
-  return StatusBody(ToStatus(registry_->Create(name, options)));
-}
-
-std::string RequestDispatcher::DropTenant(WireReader& reader) {
-  std::string name;
-  if (!reader.Str(&name) || !reader.Done()) {
-    return StatusBody(StatusCode::kMalformed);
-  }
-  return StatusBody(ToStatus(registry_->Drop(name)));
-}
-
-std::string RequestDispatcher::ListTenants(WireReader& reader) {
-  if (!reader.Done()) return StatusBody(StatusCode::kMalformed);
-  std::vector<std::string> names = registry_->List();
-  WireWriter writer;
-  writer.U8(static_cast<uint8_t>(StatusCode::kOk));
-  writer.U32(static_cast<uint32_t>(names.size()));
-  for (const std::string& name : names) writer.Str(name);
-  return writer.Take();
-}
-
-std::string RequestDispatcher::AdvanceEpoch(WireReader& reader) {
-  std::string name;
-  if (!reader.Str(&name) || !reader.Done()) {
-    return StatusBody(StatusCode::kMalformed);
-  }
-  std::shared_ptr<Tenant> tenant = registry_->Find(name);
-  if (!tenant) return StatusBody(StatusCode::kNoSuchTenant);
-  uint64_t epoch = tenant->AdvanceEpoch();
-  // Epoch seals are the checkpoint boundary: a persistent server durably
-  // captures the sealed state right here.
-  if (registry_->persistent()) registry_->Checkpoint(*tenant);
-  WireWriter writer;
-  writer.U8(static_cast<uint8_t>(StatusCode::kOk));
-  writer.U64(epoch);
-  return writer.Take();
-}
-
-std::string RequestDispatcher::Checkpoint(WireReader& reader) {
-  std::string name;
-  if (!reader.Str(&name) || !reader.Done()) {
-    return StatusBody(StatusCode::kMalformed);
-  }
-  std::shared_ptr<Tenant> tenant = registry_->Find(name);
-  if (!tenant) return StatusBody(StatusCode::kNoSuchTenant);
-  bool written = registry_->Checkpoint(*tenant);
-  WireWriter writer;
-  writer.U8(static_cast<uint8_t>(StatusCode::kOk));
-  writer.U8(written ? 1 : 0);
-  return writer.Take();
-}
-
-std::string RequestDispatcher::ResizeTenant(WireReader& reader) {
-  std::string name;
-  uint64_t total_bytes = 0;
-  if (!reader.Str(&name) || !reader.U64(&total_bytes) || !reader.Done()) {
-    return StatusBody(StatusCode::kMalformed);
-  }
-  std::shared_ptr<Tenant> tenant = registry_->Find(name);
-  if (!tenant) return StatusBody(StatusCode::kNoSuchTenant);
-  switch (tenant->Resize(total_bytes, obs::ResizeHealth::kAdmin)) {
-    case Tenant::ResizeOutcome::kBadArgument:
-      return StatusBody(StatusCode::kBadArgument);
-    case Tenant::ResizeOutcome::kQuotaExceeded:
-      return StatusBody(StatusCode::kQuotaExceeded);
-    case Tenant::ResizeOutcome::kOk:
-      break;
-  }
-  // A resize is durable state: on a persistent server the new geometry
-  // must survive a crash even if no further ingest arrives, so checkpoint
-  // at the same seal boundary the periodic trigger uses.
-  if (registry_->persistent()) {
-    tenant->AdvanceEpoch();
-    registry_->Checkpoint(*tenant);
-  }
-  WireWriter writer;
-  writer.U8(static_cast<uint8_t>(StatusCode::kOk));
-  writer.U64(tenant->engine().MemoryBytes());
-  return writer.Take();
-}
-
-std::string RequestDispatcher::Health(WireReader& reader) {
-  std::string name;
-  if (!reader.Str(&name) || !reader.Done()) {
-    return StatusBody(StatusCode::kMalformed);
-  }
-  std::shared_ptr<Tenant> tenant = registry_->Find(name);
-  if (!tenant) return StatusBody(StatusCode::kNoSuchTenant);
-  obs::HealthSnapshot stats;
-  tenant->CollectStats(&stats);
-  WireWriter writer;
-  writer.U8(static_cast<uint8_t>(StatusCode::kOk));
-  writer.U64(stats.shards);
-  writer.U64(stats.memory_bytes);
-  writer.U64(stats.inserts);
-  writer.U64(stats.queries);
-  writer.U64(tenant->epoch());
-  writer.U8(tenant->windowed() ? 1 : 0);
-  writer.U32(tenant->merge_height());
-  writer.U64(stats.resize.applied);
-  writer.U64(stats.resize.rejected);
-  writer.U64(stats.resize.bytes_before);
-  writer.U64(stats.resize.bytes_after);
-  writer.U32(stats.resize.last_trigger);
-  return writer.Take();
-}
-
-std::string RequestDispatcher::FlushViews(WireReader& reader) {
-  std::string name;
-  if (!reader.Str(&name) || !reader.Done()) {
-    return StatusBody(StatusCode::kMalformed);
-  }
-  std::shared_ptr<Tenant> tenant = registry_->Find(name);
-  if (!tenant) return StatusBody(StatusCode::kNoSuchTenant);
-  tenant->engine().FlushViews();
-  return StatusBody(StatusCode::kOk);
-}
-
-// ---------------------------------------------------------------------------
-// Merge-tree fan-in.
-
-std::string RequestDispatcher::ExportSketch(WireReader& reader) {
-  std::string name;
-  uint8_t format = 0;
-  if (!reader.Str(&name) || !reader.U8(&format) || !reader.Done()) {
-    return StatusBody(StatusCode::kMalformed);
-  }
-  if (format > static_cast<uint8_t>(SketchFormat::kCompressed)) {
-    return StatusBody(StatusCode::kBadArgument);
-  }
-  std::shared_ptr<Tenant> tenant = registry_->Find(name);
-  if (!tenant) return StatusBody(StatusCode::kNoSuchTenant);
-  // Flush first so the exported image carries every completed write, same
-  // contract as a checkpoint.
-  tenant->engine().FlushViews();
-  std::ostringstream image;
-  tenant->engine().SaveShards(image, static_cast<SketchFormat>(format));
-  std::string bytes = std::move(image).str();
-  // status + height + blob length prefix must still frame; a tenant too big
-  // for one flat frame can usually still export compressed.
-  if (bytes.size() + 16 > kMaxFrameBytes) {
-    return StatusBody(StatusCode::kTooLarge);
-  }
-  WireWriter writer;
-  writer.U8(static_cast<uint8_t>(StatusCode::kOk));
-  writer.U32(tenant->merge_height());
-  writer.Blob(bytes);
-  return writer.Take();
-}
-
-std::string RequestDispatcher::ImportMerge(WireReader& reader) {
-  std::string name;
-  uint32_t n = 0;
-  if (!reader.Str(&name) || !reader.U32(&n)) {
-    return StatusBody(StatusCode::kMalformed);
-  }
-  if (n == 0 || n > kMaxImportImages) {
-    return StatusBody(StatusCode::kBadArgument);
-  }
-  std::vector<uint32_t> heights(n);
-  std::vector<std::string> blobs(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (!reader.U32(&heights[i]) || !reader.Blob(&blobs[i])) {
-      return StatusBody(StatusCode::kMalformed);
-    }
-  }
-  if (!reader.Done()) return StatusBody(StatusCode::kMalformed);
-  std::shared_ptr<Tenant> tenant = registry_->Find(name);
-  if (!tenant) return StatusBody(StatusCode::kNoSuchTenant);
-  // All-or-nothing: every image is parsed and geometry-gated BEFORE any of
-  // them touches the engine, so a bad image in the middle of the batch
-  // cannot leave a half-applied fold.
-  std::vector<std::vector<DaVinciSketch>> staged;
-  staged.reserve(n);
-  uint64_t total_bytes = 0;
-  uint32_t max_source_height = 0;
-  for (uint32_t i = 0; i < n; ++i) {
-    std::istringstream in(blobs[i]);
-    std::vector<DaVinciSketch> shards;
-    if (!tenant->engine().ParseShardImage(in, &shards) ||
-        in.peek() != std::char_traits<char>::eof()) {
-      return StatusBody(StatusCode::kBadArgument);
-    }
-    total_bytes += blobs[i].size();
-    max_source_height = std::max(max_source_height, heights[i]);
-    staged.push_back(std::move(shards));
-  }
-  tenant->engine().MergeShardImages(std::move(staged));
-  tenant->RecordImport(n, total_bytes, max_source_height);
-  MaybeCheckpoint(tenant, n);
-  WireWriter writer;
-  writer.U8(static_cast<uint8_t>(StatusCode::kOk));
-  writer.U32(tenant->merge_height());
-  return writer.Take();
-}
-
-// ---------------------------------------------------------------------------
-// Ingest.
-
-std::string RequestDispatcher::Insert(WireReader& reader) {
-  std::string name;
-  uint32_t key = 0;
-  int64_t count = 0;
-  if (!reader.Str(&name) || !reader.U32(&key) || !reader.I64(&count) ||
-      !reader.Done()) {
-    return StatusBody(StatusCode::kMalformed);
-  }
-  std::shared_ptr<Tenant> tenant = registry_->Find(name);
-  if (!tenant) return StatusBody(StatusCode::kNoSuchTenant);
-  tenant->Insert(key, count);
-  MaybeCheckpoint(tenant, 1);
-  return StatusBody(StatusCode::kOk);
-}
-
-std::string RequestDispatcher::InsertBatch(WireReader& reader) {
-  std::string name;
-  std::vector<uint32_t> keys;
-  std::vector<int64_t> counts;
-  if (!reader.Str(&name) || !reader.Keys(&keys) || !reader.Counts(&counts) ||
-      !reader.Done()) {
-    return StatusBody(StatusCode::kMalformed);
-  }
-  // Counts must pair up one-to-one; an empty vector means "1 per key".
-  if (!counts.empty() && counts.size() != keys.size()) {
-    return StatusBody(StatusCode::kBadArgument);
-  }
-  std::shared_ptr<Tenant> tenant = registry_->Find(name);
-  if (!tenant) return StatusBody(StatusCode::kNoSuchTenant);
-  if (counts.empty()) counts.assign(keys.size(), 1);
-  tenant->InsertBatch(keys, counts);
-  MaybeCheckpoint(tenant, keys.size());
-  return StatusBody(StatusCode::kOk);
-}
-
-// ---------------------------------------------------------------------------
-// Single-tenant queries — all answered from published views (the engine's
-// lock-free read paths or Snapshot()); no writer lock is ever taken here.
-
-std::string RequestDispatcher::Query(WireReader& reader) {
-  std::string name;
-  uint32_t key = 0;
-  if (!reader.Str(&name) || !reader.U32(&key) || !reader.Done()) {
-    return StatusBody(StatusCode::kMalformed);
-  }
-  std::shared_ptr<Tenant> tenant = registry_->Find(name);
-  if (!tenant) return StatusBody(StatusCode::kNoSuchTenant);
-  WireWriter writer;
-  writer.U8(static_cast<uint8_t>(StatusCode::kOk));
-  writer.I64(tenant->engine().Query(key));
-  return writer.Take();
-}
-
-std::string RequestDispatcher::QueryBatch(WireReader& reader) {
-  std::string name;
-  std::vector<uint32_t> keys;
-  if (!reader.Str(&name) || !reader.Keys(&keys) || !reader.Done()) {
-    return StatusBody(StatusCode::kMalformed);
-  }
-  std::shared_ptr<Tenant> tenant = registry_->Find(name);
-  if (!tenant) return StatusBody(StatusCode::kNoSuchTenant);
-  std::vector<int64_t> answers = tenant->engine().QueryBatch(keys);
-  WireWriter writer;
-  writer.U8(static_cast<uint8_t>(StatusCode::kOk));
-  writer.Counts(answers);
-  return writer.Take();
-}
-
-std::string RequestDispatcher::HeavyHitters(WireReader& reader) {
-  std::string name;
-  int64_t threshold = 0;
-  if (!reader.Str(&name) || !reader.I64(&threshold) || !reader.Done()) {
-    return StatusBody(StatusCode::kMalformed);
-  }
-  std::shared_ptr<Tenant> tenant = registry_->Find(name);
-  if (!tenant) return StatusBody(StatusCode::kNoSuchTenant);
-  WireWriter writer;
-  writer.U8(static_cast<uint8_t>(StatusCode::kOk));
-  writer.Pairs(tenant->engine().HeavyHitters(threshold));
-  return writer.Take();
-}
-
-std::string RequestDispatcher::Cardinality(WireReader& reader) {
-  std::string name;
-  if (!reader.Str(&name) || !reader.Done()) {
-    return StatusBody(StatusCode::kMalformed);
-  }
-  std::shared_ptr<Tenant> tenant = registry_->Find(name);
-  if (!tenant) return StatusBody(StatusCode::kNoSuchTenant);
-  WireWriter writer;
-  writer.U8(static_cast<uint8_t>(StatusCode::kOk));
-  writer.F64(tenant->engine().EstimateCardinality());
-  return writer.Take();
-}
-
-std::string RequestDispatcher::Distribution(WireReader& reader) {
-  std::string name;
-  if (!reader.Str(&name) || !reader.Done()) {
-    return StatusBody(StatusCode::kMalformed);
-  }
-  std::shared_ptr<Tenant> tenant = registry_->Find(name);
-  if (!tenant) return StatusBody(StatusCode::kNoSuchTenant);
-  std::map<int64_t, int64_t> dist = tenant->engine().Snapshot().Distribution();
-  WireWriter writer;
-  writer.U8(static_cast<uint8_t>(StatusCode::kOk));
-  writer.U32(static_cast<uint32_t>(dist.size()));
-  for (const auto& [size, flows] : dist) {
-    writer.I64(size);
-    writer.I64(flows);
-  }
-  return writer.Take();
-}
-
-std::string RequestDispatcher::Entropy(WireReader& reader) {
-  std::string name;
-  if (!reader.Str(&name) || !reader.Done()) {
-    return StatusBody(StatusCode::kMalformed);
-  }
-  std::shared_ptr<Tenant> tenant = registry_->Find(name);
-  if (!tenant) return StatusBody(StatusCode::kNoSuchTenant);
-  WireWriter writer;
-  writer.U8(static_cast<uint8_t>(StatusCode::kOk));
-  writer.F64(tenant->engine().Snapshot().EstimateEntropy());
-  return writer.Take();
-}
-
-std::string RequestDispatcher::WindowHeavyChangers(WireReader& reader) {
-  std::string name;
-  int64_t delta = 0;
-  if (!reader.Str(&name) || !reader.I64(&delta) || !reader.Done()) {
-    return StatusBody(StatusCode::kMalformed);
-  }
-  std::shared_ptr<Tenant> tenant = registry_->Find(name);
-  if (!tenant) return StatusBody(StatusCode::kNoSuchTenant);
-  if (!tenant->windowed()) return StatusBody(StatusCode::kBadArgument);
-  WireWriter writer;
-  writer.U8(static_cast<uint8_t>(StatusCode::kOk));
-  writer.Pairs(tenant->WindowHeavyChangers(delta));
-  return writer.Take();
-}
-
-// ---------------------------------------------------------------------------
-// Cross-tenant queries. The core's Merge/Subtract/HeavyChangers/
-// InnerProduct DAVINCI_CHECK-abort on mismatched geometry, so the gate
-// below turns a hostile pairing into kBadArgument instead of killing the
-// daemon for every other tenant.
-
-namespace {
-
-struct TenantPair {
-  std::shared_ptr<Tenant> a;
-  std::shared_ptr<Tenant> b;
-  // Minimal placeholders (no default ctor); overwritten by SnapshotPair.
-  DaVinciSketch snap_a{8 * 1024, 0};
-  DaVinciSketch snap_b{8 * 1024, 0};
-};
-
-StatusCode SnapshotPair(TenantRegistry* registry, const std::string& name_a,
-                        const std::string& name_b, TenantPair* out) {
-  out->a = registry->Find(name_a);
-  out->b = registry->Find(name_b);
-  if (!out->a || !out->b) return StatusCode::kNoSuchTenant;
-  out->snap_a = out->a->engine().Snapshot();
-  out->snap_b = out->b->engine().Snapshot();
-  // Cross-tenant linear ops need the kIdentical relation; two kResizable
-  // tenants (same seed, different split) still answer kBadArgument — the
-  // server never rebuilds a whole tenant to satisfy one query.
-  if (DaVinciConfig::GeometryCompatible(out->snap_a.config(),
-                                        out->snap_b.config()) !=
-      DaVinciConfig::GeometryRelation::kIdentical) {
-    return StatusCode::kBadArgument;
-  }
-  return StatusCode::kOk;
-}
-
-}  // namespace
-
-std::string RequestDispatcher::HeavyChangers(WireReader& reader) {
-  std::string name_a, name_b;
-  int64_t delta = 0;
-  if (!reader.Str(&name_a) || !reader.Str(&name_b) || !reader.I64(&delta) ||
-      !reader.Done()) {
-    return StatusBody(StatusCode::kMalformed);
-  }
-  TenantPair pair;
-  StatusCode status = SnapshotPair(registry_, name_a, name_b, &pair);
-  if (status != StatusCode::kOk) return StatusBody(status);
-  WireWriter writer;
-  writer.U8(static_cast<uint8_t>(StatusCode::kOk));
-  writer.Pairs(pair.snap_a.HeavyChangers(pair.snap_b, delta));
-  return writer.Take();
-}
-
-std::string RequestDispatcher::UnionCardinality(WireReader& reader) {
-  std::string name_a, name_b;
-  if (!reader.Str(&name_a) || !reader.Str(&name_b) || !reader.Done()) {
-    return StatusBody(StatusCode::kMalformed);
-  }
-  TenantPair pair;
-  StatusCode status = SnapshotPair(registry_, name_a, name_b, &pair);
-  if (status != StatusCode::kOk) return StatusBody(status);
-  pair.snap_a.Merge(pair.snap_b);
-  WireWriter writer;
-  writer.U8(static_cast<uint8_t>(StatusCode::kOk));
-  writer.F64(pair.snap_a.EstimateCardinality());
-  return writer.Take();
-}
-
-std::string RequestDispatcher::DifferenceQuery(WireReader& reader) {
-  std::string name_a, name_b;
-  std::vector<uint32_t> keys;
-  if (!reader.Str(&name_a) || !reader.Str(&name_b) || !reader.Keys(&keys) ||
-      !reader.Done()) {
-    return StatusBody(StatusCode::kMalformed);
-  }
-  TenantPair pair;
-  StatusCode status = SnapshotPair(registry_, name_a, name_b, &pair);
-  if (status != StatusCode::kOk) return StatusBody(status);
-  pair.snap_a.Subtract(pair.snap_b);
-  std::vector<int64_t> answers = pair.snap_a.QueryBatch(keys);
-  WireWriter writer;
-  writer.U8(static_cast<uint8_t>(StatusCode::kOk));
-  writer.Counts(answers);
-  return writer.Take();
-}
-
-std::string RequestDispatcher::InnerProduct(WireReader& reader) {
-  std::string name_a, name_b;
-  if (!reader.Str(&name_a) || !reader.Str(&name_b) || !reader.Done()) {
-    return StatusBody(StatusCode::kMalformed);
-  }
-  TenantPair pair;
-  StatusCode status = SnapshotPair(registry_, name_a, name_b, &pair);
-  if (status != StatusCode::kOk) return StatusBody(status);
-  WireWriter writer;
-  writer.U8(static_cast<uint8_t>(StatusCode::kOk));
-  writer.F64(DaVinciSketch::InnerProduct(pair.snap_a, pair.snap_b));
-  return writer.Take();
+  Handler handler = kHandlers[opcode];
+  if (handler == nullptr) return StatusBody(StatusCode::kUnknownOp);
+  return (this->*handler)(reader);
 }
 
 }  // namespace davinci::server

@@ -2,10 +2,10 @@
 #define DAVINCI_SERVER_DISPATCHER_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 
+#include "server/ops.h"
 #include "server/protocol.h"
 #include "server/tenant.h"
 
@@ -50,41 +50,27 @@ class RequestDispatcher {
   std::string Handle(std::span<const uint8_t> body);
 
  private:
-  std::string Dispatch(Op op, WireReader& reader);
+  // Decodes table entry E's request, resolves its scope (ops::Scope), runs
+  // its handler and encodes the reply: the whole life of one request.
+  template <typename E>
+  std::string Run(WireReader& reader);
 
-  // Admin / lifecycle.
-  std::string CreateTenant(WireReader& reader);
-  std::string DropTenant(WireReader& reader);
-  std::string ListTenants(WireReader& reader);
-  std::string AdvanceEpoch(WireReader& reader);
-  std::string Checkpoint(WireReader& reader);
-  std::string Health(WireReader& reader);
-  std::string FlushViews(WireReader& reader);
-  // Dynamic geometry (docs/SERVER.md §Resize).
-  std::string ResizeTenant(WireReader& reader);
-  // Merge-tree fan-in (docs/SERVER.md §Export / ImportMerge).
-  std::string ExportSketch(WireReader& reader);
-  std::string ImportMerge(WireReader& reader);
-  // Ingest.
-  std::string Insert(WireReader& reader);
-  std::string InsertBatch(WireReader& reader);
-  // Queries.
-  std::string Query(WireReader& reader);
-  std::string QueryBatch(WireReader& reader);
-  std::string HeavyHitters(WireReader& reader);
-  std::string HeavyChangers(WireReader& reader);
-  std::string Cardinality(WireReader& reader);
-  std::string Distribution(WireReader& reader);
-  std::string Entropy(WireReader& reader);
-  std::string UnionCardinality(WireReader& reader);
-  std::string DifferenceQuery(WireReader& reader);
-  std::string InnerProduct(WireReader& reader);
-  std::string WindowHeavyChangers(WireReader& reader);
+  // One typed handler per table entry (dispatcher.cc), by scope. Each
+  // returns a StatusCode and, on kOk, has filled `reply`.
+  template <typename E>
+  StatusCode Serve(typename E::Request& request, typename E::Reply* reply);
+  template <typename E>
+  StatusCode Serve(Tenant& tenant, typename E::Request& request,
+                   typename E::Reply* reply);
+  // Cross-tenant ops get private snapshots of tenants a and b, already
+  // checked to share one geometry.
+  template <typename E>
+  StatusCode Serve(DaVinciSketch& a, const DaVinciSketch& b,
+                   typename E::Request& request, typename E::Reply* reply);
 
   // Seals + checkpoints `tenant` once its mutation tally since the last
   // checkpoint reaches options_.checkpoint_every.
-  void MaybeCheckpoint(const std::shared_ptr<Tenant>& tenant,
-                       uint64_t mutations);
+  void MaybeCheckpoint(Tenant& tenant, uint64_t mutations);
 
   TenantRegistry* registry_;
   DispatcherOptions options_;

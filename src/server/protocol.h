@@ -5,6 +5,7 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 // Wire protocol of the multi-tenant sketch server (docs/SERVER.md).
@@ -31,6 +32,9 @@
 //     loop feeds raw socket bytes into (and fuzz_protocol.cc feeds
 //     mutated garbage into);
 //   - opcode/status enums shared by client and dispatcher.
+//
+// Each op's request and reply fields live in the opcode table
+// (server/ops.h), which encodes and decodes them through these layers.
 
 namespace davinci::server {
 
@@ -93,7 +97,11 @@ enum class StatusCode : uint8_t {
   kNoSuchTenant = 4,
   kTenantExists = 5,
   kBadArgument = 6,   // e.g. cross-tenant query over mismatched geometry
-  kTooLarge = 7,      // length prefix above kMaxFrameBytes (fatal per-conn)
+  // Length prefix of 0 or above kMaxFrameBytes (fatal: the server sends
+  // this one reply and closes the connection). Also, with the connection
+  // kept: a create while the registry holds kMaxTenants tenants, and an
+  // export whose image cannot fit one frame.
+  kTooLarge = 7,
   kInternal = 8,
   // Create/resize admission: the requested footprint exceeds the
   // per-tenant memory quota (docs/SERVER.md §Quotas).
@@ -126,12 +134,16 @@ class WireWriter {
   void U32(uint32_t v) { Raw(&v, sizeof(v)); }
   void U64(uint64_t v) { Raw(&v, sizeof(v)); }
   void I64(int64_t v) { Raw(&v, sizeof(v)); }
-  // IEEE-754 bit pattern: wire doubles compare bit-for-bit.
-  void F64(double v) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    U64(bits);
+  // Any fixed-width scalar as its little-endian bytes: a double travels as
+  // its IEEE-754 bit pattern, so wire doubles compare bit-for-bit.
+  template <typename T>
+  void Pod(T v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    Raw(&v, sizeof(v));
   }
+  // Raw writer: the length is not checked against kMaxNameBytes, so tests
+  // can craft over-long names. The opcode table's codec (server/ops.h)
+  // refuses them before they reach here.
   void Str(const std::string& s) {
     U16(static_cast<uint16_t>(s.size()));
     Raw(s.data(), s.size());
@@ -143,13 +155,6 @@ class WireWriter {
   void Counts(std::span<const int64_t> counts) {
     U32(static_cast<uint32_t>(counts.size()));
     Raw(counts.data(), counts.size() * sizeof(int64_t));
-  }
-  void Pairs(const std::vector<std::pair<uint32_t, int64_t>>& pairs) {
-    U32(static_cast<uint32_t>(pairs.size()));
-    for (const auto& [key, count] : pairs) {
-      U32(key);
-      I64(count);
-    }
   }
   // Opaque byte payload (serialized sketch images): u32 len + bytes.
   void Blob(const std::string& blob) {
@@ -267,7 +272,6 @@ class WireReader {
   bool Done() const { return ok_ && pos_ == bytes_.size(); }
   bool ok() const { return ok_; }
 
- private:
   template <typename T>
   bool Pod(T* v) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -276,6 +280,8 @@ class WireReader {
     pos_ += sizeof(T);
     return true;
   }
+
+ private:
   bool Have(size_t n) const {
     return ok_ && n <= bytes_.size() - pos_;
   }

@@ -263,16 +263,12 @@ TEST(EpochManagerTest, HeavyChangersCompareAgainstMergedRemainder) {
   constexpr int64_t kDelta = 2000;
   constexpr uint32_t kMidKey = 424242;   // heavy only in the middle epoch
   constexpr uint32_t kLiveKey = 515151;  // heavy only in the live epoch
-  auto build = [](bool legacy) {
-    SlidingDaVinci window(3, 33 * 1024, 47);
-    window.set_legacy_heavy_changers(legacy);
-    for (uint32_t key : Keys(1, 3000, 300)) window.Insert(key);
-    window.Advance();
-    window.Insert(kMidKey, 5000);
-    window.Advance();
-    window.Insert(kLiveKey, 4000);
-    return window;
-  };
+  SlidingDaVinci window(3, 33 * 1024, 47);
+  for (uint32_t key : Keys(1, 3000, 300)) window.Insert(key);
+  window.Advance();
+  window.Insert(kMidKey, 5000);
+  window.Advance();
+  window.Insert(kLiveKey, 4000);
   auto contains = [](const std::vector<std::pair<uint32_t, int64_t>>& found,
                      uint32_t key) {
     for (const auto& [k, change] : found) {
@@ -281,10 +277,9 @@ TEST(EpochManagerTest, HeavyChangersCompareAgainstMergedRemainder) {
     return false;
   };
 
-  // Default semantics: the newest epoch is compared against the merged
-  // remainder of the window, so a key heavy anywhere in the remainder is
-  // visible — including the middle epoch the legacy path never saw.
-  SlidingDaVinci window = build(false);
+  // The newest epoch is compared against the merged remainder of the
+  // window, so a key heavy anywhere in the remainder is visible —
+  // including the middle epoch, not just the oldest.
   auto changers = window.HeavyChangers(kDelta);
   EXPECT_TRUE(contains(changers, kMidKey));
   EXPECT_TRUE(contains(changers, kLiveKey));
@@ -292,13 +287,6 @@ TEST(EpochManagerTest, HeavyChangersCompareAgainstMergedRemainder) {
   auto facade = WindowHeavyChangers(window.engine(), kDelta);
   EXPECT_TRUE(contains(facade, kMidKey));
   EXPECT_TRUE(contains(facade, kLiveKey));
-
-  // Legacy semantics (newest vs the single oldest epoch) miss the middle
-  // epoch entirely; the live-only key still shows.
-  SlidingDaVinci legacy = build(true);
-  auto legacy_changers = legacy.HeavyChangers(kDelta);
-  EXPECT_FALSE(contains(legacy_changers, kMidKey));
-  EXPECT_TRUE(contains(legacy_changers, kLiveKey));
 }
 
 // ---- SlidingDaVinci parity satellites -------------------------------------
